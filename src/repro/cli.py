@@ -18,12 +18,16 @@ import argparse
 import json
 import os
 import sys
+import typing
+from dataclasses import fields
 
 from .data.synthetic import DATASET_BUILDERS
 from .experiments import SCALES, run_experiment
 from .experiments import paper as paper_experiments
+from .experiments.specs import CONFIG_OVERRIDE_KEYS, OVERRIDE_ALIASES
 from .fl.executor import available_executors
 from .fl.policies import available_policies
+from .fl.simulation import FLConfig
 from .methods import method_names, method_summaries
 from .nn import engine
 from .nn.models import available_models
@@ -95,9 +99,66 @@ def _nonnegative_int(raw: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that checks its FLConfig settings as it parses.
+
+    The settings given (see :func:`_add_settings`) land in
+    ``args.settings`` as one dict, and are checked by building the
+    FLConfig they describe: a bad value is a usage error (exit 2), and
+    ``FLConfig.__post_init__`` stays the one place that knows what a
+    valid value is.
+    """
+
+    settings: tuple[str, ...] = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if self.settings:
+            namespace.settings = {
+                name: getattr(namespace, name) for name in self.settings
+                if getattr(namespace, name) is not None
+            }
+            try:
+                SCALES[namespace.scale].fl_config(**namespace.settings)
+            except ValueError as exc:
+                self.error(str(exc))
+        return namespace, extras
+
+
+def _add_settings(
+    parser: _Parser, names: typing.Collection[str] = CONFIG_OVERRIDE_KEYS
+) -> None:
+    """One flag per FLConfig setting in ``names``, from its field.
+
+    The flag is named after the field (or its alias in
+    ``OVERRIDE_ALIASES``), typed by its annotation and documented by
+    its ``help`` metadata; an absent flag parses as ``None``, meaning
+    the scale preset's value.
+    """
+    hints = typing.get_type_hints(FLConfig)
+    aliases = {key: alias for alias, key in OVERRIDE_ALIASES.items()}
+    chosen = [spec for spec in fields(FLConfig) if spec.name in names]
+    for spec in chosen:
+        name = aliases.get(spec.name, spec.name)
+        hint = hints[spec.name]
+        kind = {"action": "store_true"} if hint is bool else {
+            "metavar": name.upper(),
+            # ``int | None`` parses as int.
+            "type": next(
+                (t for t in typing.get_args(hint) if t is not type(None)),
+                hint,
+            ),
+        }
+        parser.add_argument(
+            "--" + name.replace("_", "-"), dest=spec.name, default=None,
+            help=spec.metadata["help"], **kind,
+        )
+    parser.settings += tuple(spec.name for spec in chosen)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser for the ``repro`` command-line interface."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description=(
             "FedTiny reproduction: distributed pruning towards tiny "
@@ -118,92 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scale", default="tiny", choices=sorted(SCALES))
     run.add_argument("--alpha", type=float, default=0.5,
                      help="Dirichlet alpha; <=0 means iid")
-    run.add_argument("--rounds", type=int, default=None)
     run.add_argument("--pool-size", type=int, default=None)
-    run.add_argument("--local-epochs", type=int, default=None,
-                     help="override the preset's local epochs per round")
-    run.add_argument("--participation-fraction", type=float, default=None,
-                     help="fraction of clients sampled each round")
-    run.add_argument("--quantize-bits", type=int, default=None,
-                     help="quantize client uploads to this many bits")
-    run.add_argument("--executor", default=None,
-                     choices=available_executors(),
-                     help="client execution backend (default: serial)")
-    run.add_argument("--fleet", default=None,
-                     help="device fleet spec: uniform or "
-                          "heterogeneous[:spread], e.g. heterogeneous:16")
-    run.add_argument("--round-policy", default=None,
-                     choices=available_policies(),
-                     help="round completion policy (default: sync)")
-    run.add_argument("--deadline-fraction", type=float, default=None,
-                     help="deadline policy: round budget as a multiple "
-                          "of the median device's completion time")
-    run.add_argument("--deadline-over-select", type=float, default=None,
-                     help="deadline policy: participant over-selection "
-                          "multiplier (>= 1)")
-    run.add_argument("--dropout-rate", type=float, default=None,
-                     help="dropout policy: per-round client failure "
-                          "probability")
-    run.add_argument("--async-buffer-fraction", type=float, default=None,
-                     help="async policy: fraction of uploads that "
-                          "closes the round")
-    run.add_argument("--staleness-discount", type=float, default=None,
-                     help="async policy: per-round weight discount for "
-                          "late uploads")
-    run.add_argument("--client-backend", default=None,
-                     choices=("materialized", "virtual"),
-                     help="client population backend: 'virtual' keeps "
-                          "clients as IDs until selected (default: "
-                          "materialized)")
-    run.add_argument("--virtual-shard-size", type=int, default=None,
-                     help="virtual backend: derive per-ID overlapping "
-                          "shards of this size instead of an exact "
-                          "partition (lets the population exceed the "
-                          "dataset)")
-    run.add_argument("--aggregation-fan-in", type=int, default=None,
-                     help="reduce uploads tree-wise through simulated "
-                          "edge-aggregator groups of this size")
+    _add_settings(run)
     run.add_argument("--density-threshold", type=_density_threshold,
                      default=None,
                      help="enable sparse row dispatch below this weight "
                           "density (default 0: off, byte-identical to "
                           "the dense engine)")
-    run.add_argument("--faults", default=None, metavar="SPEC",
-                     help="inject deterministic faults: a preset name "
-                          "(chaos, flaky_clients, bad_transport) or "
-                          "'kind:prob,...' pairs, e.g. "
-                          "corrupt_payload:0.1,client_timeout:0.05")
-    run.add_argument("--retry-max-attempts", type=int, default=None,
-                     help="delivery attempts per client per round "
-                          "under fault injection (default 3)")
-    run.add_argument("--retry-backoff-seconds", type=float, default=None,
-                     help="base simulated backoff between retries "
-                          "(default 0.5)")
-    run.add_argument("--retry-timeout-seconds", type=float, default=None,
-                     help="simulated seconds a client_timeout fault "
-                          "costs (default 5)")
-    run.add_argument("--transport-timeout", type=_positive_seconds,
-                     default=None,
-                     help="network executor: per-request socket timeout "
-                          "and in-flight task reassignment budget in "
-                          "real seconds (default 30)")
-    run.add_argument("--heartbeat-interval", type=_positive_seconds,
-                     default=None,
-                     help="network executor: worker heartbeat period in "
-                          "real seconds; liveness expires after 5 "
-                          "missed beats (default 1)")
-    run.add_argument("--max-reconnects", type=_nonnegative_int,
-                     default=None,
-                     help="network executor: reconnect attempts per "
-                          "worker request and reassignments per task "
-                          "before the client is excluded (default 3)")
-    run.add_argument("--checkpoint-dir", default=None,
-                     help="snapshot the run here for crash-resume")
-    run.add_argument("--checkpoint-every", type=int, default=None,
-                     help="rounds between checkpoints (default 1)")
-    run.add_argument("--resume", action="store_true",
-                     help="resume from the latest checkpoint in "
-                          "--checkpoint-dir, bit-for-bit")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--json", action="store_true",
                      help="emit the result record as JSON")
@@ -219,13 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
             "every injected fault is accounted (retried, quarantined, "
             "deduplicated, or excluded) on the round records, and when "
             "no client exhausted its retries the faulted run's metrics "
-            "are bitwise identical to the fault-free run. Exit codes: "
-            "0 all invariants hold, 1 a recovery invariant failed."
+            "are bitwise identical to the fault-free run. --faults "
+            "defaults to the chaos preset. Exit codes: 0 all invariants "
+            "hold, 1 a recovery invariant failed, 2 usage error."
         ),
     )
-    chaos.add_argument("--faults", default="chaos", metavar="SPEC",
-                       help="preset name or 'kind:prob,...' spec "
-                            "(default: the chaos preset)")
     chaos.add_argument("--method", default="fedtiny",
                        choices=method_names())
     chaos.add_argument("--model", default="resnet18",
@@ -234,16 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(DATASET_BUILDERS))
     chaos.add_argument("--density", type=float, default=0.05)
     chaos.add_argument("--scale", default="tiny", choices=sorted(SCALES))
-    chaos.add_argument("--rounds", type=int, default=None)
-    chaos.add_argument("--executor", default=None,
-                       choices=available_executors())
-    chaos.add_argument("--retry-max-attempts", type=int, default=None)
-    chaos.add_argument("--transport-timeout", type=_positive_seconds,
-                       default=None)
-    chaos.add_argument("--heartbeat-interval", type=_positive_seconds,
-                       default=None)
-    chaos.add_argument("--max-reconnects", type=_nonnegative_int,
-                       default=None)
+    _add_settings(chaos, (
+        "faults", "rounds", "executor", "retry_max_attempts",
+        "transport_timeout", "heartbeat_interval", "max_reconnects",
+    ))
+    chaos.set_defaults(faults="chaos")
     chaos.add_argument("--seed", type=int, default=0)
 
     sweep = sub.add_parser(
@@ -420,31 +395,7 @@ def _command_run(args: argparse.Namespace) -> int:
         dirichlet_alpha=alpha,
         seed=args.seed,
         pool_size=args.pool_size,
-        rounds=args.rounds,
-        local_epochs=args.local_epochs,
-        participation_fraction=args.participation_fraction,
-        quantize_bits=args.quantize_bits,
-        executor=args.executor,
-        fleet=args.fleet,
-        round_policy=args.round_policy,
-        deadline_fraction=args.deadline_fraction,
-        deadline_over_select=args.deadline_over_select,
-        dropout_rate=args.dropout_rate,
-        async_buffer_fraction=args.async_buffer_fraction,
-        staleness_discount=args.staleness_discount,
-        client_backend=args.client_backend,
-        virtual_shard_size=args.virtual_shard_size,
-        aggregation_fan_in=args.aggregation_fan_in,
-        faults=args.faults,
-        retry_max_attempts=args.retry_max_attempts,
-        retry_backoff_seconds=args.retry_backoff_seconds,
-        retry_timeout_seconds=args.retry_timeout_seconds,
-        transport_timeout=args.transport_timeout,
-        heartbeat_interval=args.heartbeat_interval,
-        max_reconnects=args.max_reconnects,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
+        **args.settings,
     )
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, default=str))
@@ -473,21 +424,10 @@ def _command_run(args: argparse.Namespace) -> int:
 def _command_chaos(args: argparse.Namespace) -> int:
     from .fl.faults import FaultSchedule
 
-    try:
-        schedule = FaultSchedule.parse(args.faults, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    common = dict(
-        scale=args.scale,
-        seed=args.seed,
-        rounds=args.rounds,
-        executor=args.executor,
-        retry_max_attempts=args.retry_max_attempts,
-        transport_timeout=args.transport_timeout,
-        heartbeat_interval=args.heartbeat_interval,
-        max_reconnects=args.max_reconnects,
-    )
+    settings = dict(args.settings)
+    faults = settings.pop("faults")
+    schedule = FaultSchedule.parse(faults, seed=args.seed)
+    common = dict(scale=args.scale, seed=args.seed, **settings)
     print(f"fault schedule    : {schedule.spec_string()}")
     print("running fault-free baseline ...")
     baseline = run_experiment(
@@ -496,7 +436,7 @@ def _command_chaos(args: argparse.Namespace) -> int:
     print("running faulted twin ...")
     faulted = run_experiment(
         args.method, args.model, args.dataset, args.density,
-        faults=args.faults, **common,
+        faults=faults, **common,
     )
 
     problems: list[str] = []

@@ -70,8 +70,9 @@ def make_context(
     ``splits`` lets callers reuse an already-built
     :func:`prepare_data` result instead of regenerating the dataset.
     ``config`` short-circuits config construction entirely (the spec
-    runner passes the one it already built); otherwise any keyword of
-    :meth:`ScalePreset.fl_config` is accepted as an override.
+    runner passes the one it already built); otherwise any FLConfig
+    setting (a key of ``CONFIG_OVERRIDE_KEYS``) is accepted as an
+    override.
     """
     if splits is None:
         splits = prepare_data(dataset_name, scale, seed)
@@ -115,7 +116,7 @@ def run_spec(
 ) -> RunResult:
     """Execute one :class:`RunSpec` end to end.
 
-    ``config_extras`` threads execution-only knobs (per-run checkpoint
+    ``config_extras`` threads ``plumbing`` settings (per-run checkpoint
     directories, resume flags) into the config without changing the
     spec's identity; ``preset`` lets callers pass an ad-hoc
     :class:`ScalePreset` instance instead of a registered scale name.
@@ -160,10 +161,9 @@ def run_experiment(
 ) -> RunResult:
     """End-to-end: build data, context and method, then run it.
 
-    Any keyword of :meth:`ScalePreset.fl_config` (``rounds``,
-    ``executor``, ``faults``, ``checkpoint_dir``, ...) is accepted and
-    folded into the run's :class:`RunSpec`, so this remains a drop-in
-    superset of the old 25-keyword signature.
+    Any FLConfig setting (``rounds``, ``executor``, ``faults``,
+    ``checkpoint_dir``, ...: a key of ``CONFIG_OVERRIDE_KEYS``) is
+    accepted and folded into the run's :class:`RunSpec`.
     """
     preset = get_scale(scale) if isinstance(scale, str) else scale
     spec = RunSpec(

@@ -2,20 +2,21 @@
 
 A :class:`RunSpec` pins one experiment completely: the method, model,
 dataset, target density, scale preset, seed, Dirichlet alpha, pool
-size, and any :class:`~repro.fl.simulation.FLConfig` knob as a
+size, and any :class:`~repro.fl.simulation.FLConfig` setting as an
 ``overrides`` mapping. It is the single place the experiment layer
 translates keyword arguments into an ``FLConfig`` — the runner builds
-every context through :meth:`RunSpec.fl_config`, so a new config knob
-added to :meth:`repro.experiments.configs.ScalePreset.fl_config` is
+every context through :meth:`RunSpec.fl_config`. The valid override
+keys are the FLConfig fields declared with CLI help (see
+:func:`repro.fl.simulation.setting`), so a setting added there is
 immediately sweepable and cannot drift between call sites.
 
 Specs are JSON-round-trippable and carry a stable content fingerprint
 (:meth:`RunSpec.fingerprint`): the sweep journal uses it to re-verify
 completed runs on resume, exactly like
 :class:`~repro.nn.checkpoint.RunCheckpoint` fingerprints individual
-runs. Execution-only knobs (``checkpoint_dir``/``checkpoint_every``/
-``resume``) are excluded from the fingerprint — they change how a run
-executes, never what it computes.
+runs. FLConfig's ``plumbing`` fields (``checkpoint_dir``/
+``checkpoint_every``/``resume``) are excluded from the fingerprint —
+they change how a run executes, never what it computes.
 
 :func:`expand_grid` turns a declarative axes mapping (axis name →
 value list) into the deterministic list of specs a sweep executes.
@@ -24,24 +25,26 @@ value list) into the deterministic list of specs a sweep executes.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Sequence
 
+from ..fl.simulation import FLConfig
 from .configs import ScalePreset
 
 __all__ = [
     "CONFIG_OVERRIDE_KEYS",
+    "OVERRIDE_ALIASES",
     "RunSpec",
     "expand_grid",
     "parse_axis_value",
 ]
 
 #: Keyword aliases accepted for historical reasons (``run_experiment``
-#: always called the quantization knob ``quantize_bits``).
-_OVERRIDE_ALIASES = {"quantize_bits": "quantize_upload_bits"}
+#: always called the quantization knob ``quantize_bits``); the CLI
+#: names the flag after the alias (``--quantize-bits``).
+OVERRIDE_ALIASES = {"quantize_bits": "quantize_upload_bits"}
 
 #: Spec fields with first-class meaning (not FLConfig overrides).
 _CORE_AXES = {
@@ -57,29 +60,20 @@ _CORE_AXES = {
     "pool_size": "pool_size",
 }
 
-#: FLConfig knobs that steer *execution* (crash-resume plumbing), not
-#: the computed result: excluded from the spec fingerprint so a run
-#: resumed through a checkpoint re-verifies as the same run.
-_EXECUTION_ONLY_KEYS = frozenset(
-    {"checkpoint_dir", "checkpoint_every", "resume"}
+#: The valid keys for :attr:`RunSpec.overrides` (plus the aliases in
+#: ``OVERRIDE_ALIASES``): the FLConfig fields declared with CLI help.
+#: ``dirichlet_alpha`` and ``seed`` are first-class RunSpec fields.
+CONFIG_OVERRIDE_KEYS: frozenset[str] = frozenset(
+    spec.name for spec in fields(FLConfig) if "help" in spec.metadata
 )
 
-
-def _config_override_keys() -> frozenset[str]:
-    """Valid ``overrides`` keys, derived from the fl_config signature.
-
-    ``dirichlet_alpha`` and ``seed`` are first-class RunSpec fields, so
-    they are not overridable; everything else ScalePreset.fl_config
-    accepts is.
-    """
-    params = inspect.signature(ScalePreset.fl_config).parameters
-    return frozenset(params) - {"self", "dirichlet_alpha", "seed"}
-
-
-#: The valid keys for :attr:`RunSpec.overrides` (plus the aliases in
-#: ``_OVERRIDE_ALIASES``), kept in lockstep with ``ScalePreset.fl_config``
-#: by deriving them from its signature at import time.
-CONFIG_OVERRIDE_KEYS: frozenset[str] = _config_override_keys()
+#: FLConfig ``plumbing`` fields steer crash-resume, not the computed
+#: result: excluded from the spec fingerprint so a run resumed through
+#: a checkpoint re-verifies as the same run.
+_PLUMBING_KEYS = frozenset(
+    spec.name for spec in fields(FLConfig)
+    if spec.metadata["role"] == "plumbing"
+)
 
 _JSON_SCALARS = (str, int, float, bool, type(None))
 
@@ -93,11 +87,11 @@ def normalize_overrides(overrides: Mapping[str, Any]) -> dict[str, Any]:
     """
     cleaned: dict[str, Any] = {}
     for key, value in overrides.items():
-        key = _OVERRIDE_ALIASES.get(key, key)
+        key = OVERRIDE_ALIASES.get(key, key)
         if key not in CONFIG_OVERRIDE_KEYS:
             raise ValueError(
                 f"unknown config override {key!r}; valid keys: "
-                f"{sorted(CONFIG_OVERRIDE_KEYS | set(_OVERRIDE_ALIASES))}"
+                f"{sorted(CONFIG_OVERRIDE_KEYS | set(OVERRIDE_ALIASES))}"
             )
         if value is None:
             continue
@@ -116,9 +110,8 @@ def normalize_overrides(overrides: Mapping[str, Any]) -> dict[str, Any]:
 class RunSpec:
     """Everything that identifies one experiment run.
 
-    ``overrides`` maps FLConfig knob names (any keyword of
-    ``ScalePreset.fl_config`` except ``dirichlet_alpha``/``seed``) to
-    JSON-scalar values; it is canonicalized (aliases resolved, ``None``
+    ``overrides`` maps FLConfig setting names (``CONFIG_OVERRIDE_KEYS``)
+    to JSON-scalar values; it is canonicalized (aliases resolved, ``None``
     dropped, keys sorted) so equal configurations always produce equal
     fingerprints.
     """
@@ -140,9 +133,7 @@ class RunSpec:
             raise ValueError(
                 f"target_density must be in (0, 1], got {self.target_density}"
             )
-        raw = self.overrides
-        mapping = dict(raw) if not isinstance(raw, Mapping) else dict(raw)
-        cleaned = normalize_overrides(mapping)
+        cleaned = normalize_overrides(dict(self.overrides))
         object.__setattr__(
             self, "overrides", tuple(sorted(cleaned.items()))
         )
@@ -151,10 +142,10 @@ class RunSpec:
     def overrides_dict(self) -> dict[str, Any]:
         return dict(self.overrides)
 
-    def fl_config(self, preset: ScalePreset, **extra: Any):
-        """The run's FLConfig — the one call site for every knob.
+    def fl_config(self, preset: ScalePreset, **extra: Any) -> FLConfig:
+        """The run's FLConfig — the one call site for every setting.
 
-        ``extra`` lets the orchestration layer thread execution-only
+        ``extra`` lets the orchestration layer thread ``plumbing``
         knobs (per-run checkpoint dirs, resume flags) without widening
         the spec's identity.
         """
@@ -169,36 +160,22 @@ class RunSpec:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "method": self.method,
-            "model": self.model,
-            "dataset": self.dataset,
-            "target_density": self.target_density,
-            "scale": self.scale,
-            "dirichlet_alpha": self.dirichlet_alpha,
-            "seed": self.seed,
-            "pool_size": self.pool_size,
-            "overrides": self.overrides_dict,
-        }
+        record = {spec.name: getattr(self, spec.name) for spec in fields(self)}
+        record["overrides"] = self.overrides_dict
+        return record
 
     @classmethod
     def from_dict(cls, record: Mapping[str, Any]) -> "RunSpec":
-        return cls(
-            method=record["method"],
-            model=record.get("model", "resnet18"),
-            dataset=record.get("dataset", "cifar10"),
-            target_density=record.get("target_density", 0.05),
-            scale=record.get("scale", "bench"),
-            dirichlet_alpha=record.get("dirichlet_alpha"),
-            seed=record.get("seed", 0),
-            pool_size=record.get("pool_size"),
-            overrides=tuple(dict(record.get("overrides", {})).items()),
-        )
+        """Inverse of :meth:`to_dict`; a missing key takes its default."""
+        return cls(**{
+            spec.name: record[spec.name]
+            for spec in fields(cls) if spec.name in record
+        })
 
     def fingerprint(self) -> str:
         """Stable content hash of the spec's *identity*.
 
-        Execution-only override keys are excluded: resuming a run
+        Plumbing override keys are excluded: resuming a run
         through its checkpoint plumbing must not change which spec the
         journal thinks it is.
         """
@@ -206,7 +183,7 @@ class RunSpec:
         canonical["overrides"] = {
             key: value
             for key, value in self.overrides
-            if key not in _EXECUTION_ONLY_KEYS
+            if key not in _PLUMBING_KEYS
         }
         encoded = json.dumps(
             canonical, sort_keys=True, separators=(",", ":"), default=str

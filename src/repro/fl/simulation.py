@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -50,77 +51,175 @@ from .server import Server
 from .state import set_state
 from .transport import TransportConfig
 
-__all__ = ["FLConfig", "FederatedContext"]
+__all__ = ["CONFIG_ROLES", "FLConfig", "FederatedContext", "setting"]
 
 _LOG = logging.getLogger(__name__)
 
 
+#: What an FLConfig field changes. A ``result`` field changes what a
+#: run computes, so it is part of the run's identity. A ``resumable``
+#: field changes only how or how long a run executes: a checkpoint
+#: resumes across it. A ``plumbing`` field drives crash-resume itself.
+CONFIG_ROLES = ("result", "resumable", "plumbing")
+
+
+def setting(default: Any, role: str, help: str | None = None) -> Any:
+    """Declare one :class:`FLConfig` field: default, role and CLI help.
+
+    A field with ``help`` is a setting: a ``repro run`` flag and a
+    :class:`~repro.experiments.specs.RunSpec` override key. Every other
+    consumer (preset overrides, run identity) reads the same metadata.
+    """
+    metadata = {"role": role}
+    if help is not None:
+        metadata["help"] = help
+    return field(default=default, metadata=metadata)
+
+
 @dataclass(frozen=True)
 class FLConfig:
-    """Hyper-parameters of the federated protocol (paper Section IV-A1)."""
+    """Hyper-parameters of the federated protocol (paper Section IV-A1).
 
-    num_clients: int = 10
-    rounds: int = 300
-    local_epochs: int = 5
-    batch_size: int = 64
-    lr: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    dirichlet_alpha: float | None = 0.5
-    dev_fraction: float = 0.1
-    participation_fraction: float = 1.0
-    quantize_upload_bits: int | None = None
-    eval_every: int = 1
-    augment: bool = False
-    executor: str = "serial"
-    executor_workers: int | None = None
-    # Fleet-scale knobs: with the "virtual" backend clients exist as
-    # IDs until selected (see repro.fl.fleet). virtual_shard_size
-    # switches the partition to derived overlapping shards so the
-    # population can vastly exceed the dataset; aggregation_fan_in
-    # groups uploads under simulated edge aggregators;
-    # min_partition_samples is the Dirichlet per-client floor.
-    client_backend: str = "materialized"
-    virtual_shard_size: int | None = None
-    aggregation_fan_in: int | None = None
-    min_partition_samples: int = 2
+    The one declaration of every protocol setting; see :func:`setting`.
+    """
+
+    num_clients: int = setting(10, "result")
+    rounds: int = setting(
+        300, "resumable", "number of rounds (default: the scale's)"
+    )
+    local_epochs: int = setting(
+        5, "result", "override the preset's local epochs per round"
+    )
+    batch_size: int = setting(64, "result")
+    lr: float = setting(0.05, "result")
+    momentum: float = setting(0.9, "result")
+    weight_decay: float = setting(0.0, "result")
+    dirichlet_alpha: float | None = setting(0.5, "result")
+    dev_fraction: float = setting(0.1, "result")
+    participation_fraction: float = setting(
+        1.0, "result", "fraction of clients sampled each round"
+    )
+    quantize_upload_bits: int | None = setting(
+        None, "result", "quantize client uploads to this many bits"
+    )
+    eval_every: int = setting(1, "result")
+    augment: bool = setting(False, "result")
+    executor: str = setting(
+        "serial", "resumable",
+        "client execution backend, see 'repro list' (default: serial)",
+    )
+    executor_workers: int | None = setting(
+        None, "resumable",
+        "process/network executor: worker count (default: one per "
+        "CPU, at most 8 process or 4 network workers)",
+    )
+    # Fleet-scale knobs (see repro.fl.fleet); min_partition_samples is
+    # the Dirichlet per-client floor.
+    client_backend: str = setting(
+        "materialized", "result",
+        "client population backend: 'virtual' keeps clients as IDs "
+        "until selected (default: materialized)",
+    )
+    virtual_shard_size: int | None = setting(
+        None, "result",
+        "virtual backend: derive per-ID overlapping shards of this size "
+        "instead of an exact partition (lets the population exceed the "
+        "dataset)",
+    )
+    aggregation_fan_in: int | None = setting(
+        None, "result",
+        "reduce uploads tree-wise through simulated edge-aggregator "
+        "groups of this size",
+    )
+    min_partition_samples: int = setting(2, "result")
     # Systems-simulation knobs: the device fleet spec (see
     # repro.fl.latency.parse_fleet_spec) and the round policy plus its
     # parameters (see repro.fl.policies).
-    fleet: str = "uniform"
-    round_policy: str = "sync"
-    deadline_fraction: float = 1.5
-    deadline_over_select: float = 1.5
-    dropout_rate: float = 0.1
-    async_buffer_fraction: float = 0.5
-    staleness_discount: float = 0.5
-    # Fault-tolerance knobs (see repro.fl.faults). ``faults`` is a
-    # schedule spec ("kind:prob,..." or a preset name); None disables
-    # injection entirely and the round loop stays byte-identical to the
-    # fault-free golden run. The retry knobs parameterize the
-    # RetryPolicy that defends against whatever the schedule throws.
-    faults: str | None = None
-    retry_max_attempts: int = 3
-    retry_backoff_seconds: float = 0.5
-    retry_backoff_factor: float = 2.0
-    retry_timeout_seconds: float = 5.0
-    pool_failure_limit: int = 2
-    # Networked-transport knobs (see repro.fl.transport): the socket
-    # read/write timeout (doubling as the server's in-flight task
-    # deadline), the worker heartbeat cadence, and the reconnect /
-    # task-reassignment budget. Only the "network" executor reads them;
-    # they are validated for every config so a bad flag fails fast.
-    transport_timeout: float = 30.0
-    heartbeat_interval: float = 1.0
-    max_reconnects: int = 3
-    # Crash-resume knobs: with checkpoint_dir set the method's round
-    # loop snapshots the full run state every ``checkpoint_every``
-    # rounds; ``resume=True`` restarts from the latest snapshot
-    # bit-for-bit instead of from round 1.
-    checkpoint_dir: str | None = None
-    checkpoint_every: int = 1
-    resume: bool = False
-    seed: int = 0
+    fleet: str = setting(
+        "uniform", "result",
+        "device fleet spec: uniform or heterogeneous[:spread], e.g. "
+        "heterogeneous:16",
+    )
+    round_policy: str = setting(
+        "sync", "result",
+        "round completion policy, see 'repro list' (default: sync)",
+    )
+    deadline_fraction: float = setting(
+        1.5, "result",
+        "deadline policy: round budget as a multiple of the median "
+        "device's completion time",
+    )
+    deadline_over_select: float = setting(
+        1.5, "result",
+        "deadline policy: participant over-selection multiplier (>= 1)",
+    )
+    dropout_rate: float = setting(
+        0.1, "result", "dropout policy: per-round client failure probability"
+    )
+    async_buffer_fraction: float = setting(
+        0.5, "result",
+        "async policy: fraction of uploads that closes the round",
+    )
+    staleness_discount: float = setting(
+        0.5, "result",
+        "async policy: per-round weight discount for late uploads",
+    )
+    # Fault-tolerance knobs (see repro.fl.faults). With ``faults`` None
+    # the round loop stays byte-identical to the fault-free golden run.
+    faults: str | None = setting(
+        None, "result",
+        "inject deterministic faults: a preset name (chaos, "
+        "flaky_clients, bad_transport) or 'kind:prob,...' pairs, e.g. "
+        "corrupt_payload:0.1,client_timeout:0.05",
+    )
+    retry_max_attempts: int = setting(
+        3, "result",
+        "delivery attempts per client per round under fault injection "
+        "(default 3)",
+    )
+    retry_backoff_seconds: float = setting(
+        0.5, "result",
+        "base simulated backoff between retries (default 0.5)",
+    )
+    retry_backoff_factor: float = setting(2.0, "result")
+    retry_timeout_seconds: float = setting(
+        5.0, "result",
+        "simulated seconds a client_timeout fault costs (default 5)",
+    )
+    pool_failure_limit: int = setting(2, "result")
+    # Networked-transport knobs (see repro.fl.transport). Only the
+    # "network" executor reads them; they are validated for every
+    # config so a bad flag fails fast.
+    transport_timeout: float = setting(
+        30.0, "resumable",
+        "network executor: per-request socket timeout and in-flight "
+        "task reassignment budget in real seconds (default 30)",
+    )
+    heartbeat_interval: float = setting(
+        1.0, "resumable",
+        "network executor: worker heartbeat period in real seconds; "
+        "liveness expires after 5 missed beats (default 1)",
+    )
+    max_reconnects: int = setting(
+        3, "resumable",
+        "network executor: reconnect attempts per worker request and "
+        "reassignments per task before the client is excluded "
+        "(default 3)",
+    )
+    # Crash-resume knobs: the round loop snapshots the full run state
+    # every ``checkpoint_every`` rounds and resumes bit-for-bit.
+    checkpoint_dir: str | None = setting(
+        None, "plumbing", "snapshot the run here for crash-resume"
+    )
+    checkpoint_every: int = setting(
+        1, "plumbing", "rounds between checkpoints (default 1)"
+    )
+    resume: bool = setting(
+        False, "plumbing",
+        "resume from the latest checkpoint in --checkpoint-dir, "
+        "bit-for-bit",
+    )
+    seed: int = setting(0, "result")
 
     def __post_init__(self) -> None:
         if self.num_clients < 1:
@@ -867,19 +966,24 @@ class FederatedContext:
             f"_seed{self.config.seed}.npz"
         )
 
-    def _checkpoint_fingerprint(self, method_name: str) -> tuple:
+    def _checkpoint_fingerprint(self, result: RunResult) -> dict:
         """Identity of the run a checkpoint belongs to.
 
-        ``rounds`` is deliberately absent: the trained prefix does not
-        depend on the target length, so a snapshot from a shorter (or
-        killed) run legitimately resumes into a longer one.
+        Every ``result`` field of the config counts; ``resumable`` ones
+        (``rounds``, the executor and its transport) do not. A snapshot
+        from a shorter or killed run, or from another executor,
+        legitimately resumes into a longer run.
         """
-        cfg = self.config
-        return (
-            method_name, self.model_name, self.dataset_name,
-            cfg.seed, cfg.num_clients, cfg.local_epochs,
-            cfg.round_policy, cfg.client_backend,
-        )
+        identity = {
+            "method": result.method,
+            "model": self.model_name,
+            "dataset": self.dataset_name,
+            "target_density": result.target_density,
+        }
+        for spec in fields(self.config):
+            if spec.metadata["role"] == "result":
+                identity[spec.name] = getattr(self.config, spec.name)
+        return identity
 
     def save_checkpoint(
         self,
@@ -903,7 +1007,7 @@ class FederatedContext:
 
         stats = self._fault_stats_since_record
         meta = {
-            "fingerprint": self._checkpoint_fingerprint(result.method),
+            "fingerprint": self._checkpoint_fingerprint(result),
             "round_index": round_index,
             "round_counter": self._round_counter,
             "mask_epoch": self.server.mask_epoch,
@@ -962,12 +1066,18 @@ class FederatedContext:
             return None
         ckpt = load_run_checkpoint(path)
         meta = ckpt.meta
-        expected = self._checkpoint_fingerprint(result.method)
+        expected = self._checkpoint_fingerprint(result)
         found = meta.get("fingerprint")
-        if tuple(found or ()) != expected:
+        if found != expected:
+            # A checkpoint from before the fingerprint became a mapping
+            # carries a tuple and differs in every key.
+            differing = sorted(
+                key for key, value in expected.items()
+                if not isinstance(found, dict) or found.get(key) != value
+            )
             raise ValueError(
-                f"checkpoint {path} belongs to a different run: "
-                f"{found!r} != {expected!r}"
+                f"checkpoint {path} belongs to a different run "
+                f"(differs in {differing})"
             )
         _LOG.info(
             "resuming %s from %s after round %d",

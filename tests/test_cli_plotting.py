@@ -69,6 +69,18 @@ class TestCLIParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--method", "magic"])
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--quantize-bits", "40"], "quantize_upload_bits must be in"),
+        (["--dropout-rate", "2"], "dropout_rate must be in"),
+    ])
+    def test_bad_setting_is_a_usage_error(self, capsys, flags, message):
+        # Checked by building the FLConfig at parse time: exit 2 with
+        # FLConfig's own message, before any data is synthesized.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["run", "--method", "fedavg"] + flags)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_experiment_choices(self):
         args = build_parser().parse_args(["experiment", "table2"])
         assert args.experiment_id == "table2"

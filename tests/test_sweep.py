@@ -101,6 +101,28 @@ class TestRunSpec:
         ))
         assert plain.fingerprint() == checkpointed.fingerprint()
 
+    @pytest.mark.parametrize("spec, digest", [
+        (RunSpec("fedtiny"),
+         "39e016abb29cb575874c5acf86d595156052df398506509164a18c7aef3a4b5f"),
+        (RunSpec("fedtiny", overrides=(("quantize_bits", 8),)),
+         "a64c6940b65adb6a6e9dc296425290590077e1fbf6fb818aff87765e43501306"),
+        (RunSpec("fedavg", model="vgg11", target_density=1.0, scale="tiny",
+                 dirichlet_alpha=None, seed=3, pool_size=2, overrides=(
+                     ("executor", "network"), ("executor_workers", 2),
+                     ("rounds", 3), ("checkpoint_dir", "ck"),
+                     ("checkpoint_every", 2), ("resume", True))),
+         "e578c2f0b976fc25d6ebd2aa67d359e34d6a30873f0fec4b32c8c3a6d398ba18"),
+    ])
+    def test_fingerprint_is_pinned(self, spec, digest):
+        # Journaled sweeps re-verify runs by these digests on resume.
+        assert spec.fingerprint() == digest
+
+    def test_from_dict_missing_keys_take_the_defaults(self):
+        assert RunSpec.from_dict({"method": "fedtiny"}) == RunSpec("fedtiny")
+        assert RunSpec.from_dict(
+            {"method": "fedtiny"}
+        ).dirichlet_alpha == 0.5
+
     def test_unknown_override_rejected(self):
         with pytest.raises(ValueError, match="unknown config override"):
             RunSpec("fedtiny", overrides=(("no_such_knob", 1),))

@@ -34,15 +34,27 @@ run, independently of *what* they compute:
 The threshold can be pre-set for a whole process tree with the
 ``REPRO_DENSITY_THRESHOLD`` environment variable (read at import, so it
 propagates to spawned executor workers).
+
+:func:`pin_blas_threads`
+    Runs at import: every process of a run (master, process-pool and
+    network workers, sweep children) does its GEMMs on one BLAS thread,
+    because the parallelism lives in the executors, and an idle OpenBLAS
+    pool spins on the spare cores, burning CPU without shortening the
+    run. A
+    thread count set in ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
+    ``OMP_NUM_THREADS`` is left alone.
 """
 
 from __future__ import annotations
 
+import ctypes
+import logging
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 __all__ = [
+    "pin_blas_threads",
     "EngineConfig",
     "get_config",
     "configure",
@@ -55,6 +67,69 @@ __all__ = [
     "lowering_cache",
     "active_lowering_cache",
 ]
+
+_LOG = logging.getLogger(__name__)
+
+# ----------------------------------------------------------------------
+# BLAS thread policy
+# ----------------------------------------------------------------------
+#: Variables OpenBLAS reads its thread count from, highest priority first.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS")
+#: Thread setters of numpy's bundled scipy-openblas and of a plain build.
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                        "openblas_set_num_threads")
+
+
+def _openblas_function(names: tuple[str, ...]):
+    """The first of ``names`` the loaded OpenBLAS exports, or ``None``.
+
+    The library is found in ``/proc/self/maps``, so only Linux resolves.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps
+                     if "openblas" in line.lower()}
+    except OSError as exc:
+        _LOG.debug("cannot list loaded libraries: %s", exc)
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError as exc:
+            _LOG.debug("cannot open %s: %s", path, exc)
+            continue
+        for name in names:
+            function = getattr(lib, name, None)
+            if function is not None:
+                return function
+    return None
+
+
+def pin_blas_threads() -> bool:
+    """Pin BLAS to one thread in this process and its future children.
+
+    Unless the user set a thread count, sets ``OPENBLAS_NUM_THREADS=1``
+    (so spawned children start single-threaded) and calls the loaded
+    OpenBLAS's setter (so this process is pinned even though numpy was
+    imported first; forked children inherit it). Returns whether this
+    process was pinned; never raises.
+    """
+    if any(name in os.environ for name in _BLAS_THREAD_VARS):
+        return False
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    setter = _openblas_function(_BLAS_THREAD_SETTERS)
+    if setter is None:
+        _LOG.debug("no OpenBLAS thread setter found; only child "
+                   "processes are pinned to one BLAS thread")
+        return False
+    setter.argtypes = (ctypes.c_int,)
+    setter.restype = None
+    setter(1)
+    return True
+
+
+pin_blas_threads()
 
 _DEFAULT_DENSITY_THRESHOLD = 0.0
 

@@ -7,17 +7,16 @@ on ``float32`` arrays in NCHW layout.
 
 ``im2col`` gathers patches through a zero-copy
 ``np.lib.stride_tricks.sliding_window_view`` and materializes the patch
-matrix with a single fused transpose/reshape copy; ``col2im`` first
-restores the kernel-major layout with one contiguous copy so its
-accumulation passes stream over contiguous memory. Both are bit-identical
-to the reference double-loop implementations (kept below as
+matrix with a single fused transpose/reshape copy; ``col2im`` accumulates
+the patch matrix straight into a channels-last image, so every pass reads
+``col`` in place, and transposes to NCHW once at the end. Both are
+bit-identical to the reference double-loop implementations (kept below as
 ``im2col_reference``/``col2im_reference`` for regression tests and
 benchmark baselines): they move exactly the same values, and ``col2im``
 preserves the reference's per-pixel accumulation order. Because every
-construction is pure data movement, each function picks the fastest
-route per problem size: 1x1 kernels collapse to plain relayouts, wide
-patch rows take the vectorized route, and narrow ones keep the
-reference construction, which benches faster there.
+construction is pure data movement, routes may differ per problem size:
+1x1 kernels collapse to plain relayouts, and ``im2col`` keeps the loop
+construction for narrow patch rows, which benches faster there.
 """
 
 from __future__ import annotations
@@ -38,14 +37,11 @@ __all__ = [
 ]
 
 
-#: Patch-row widths (C * kh * kw) above which the vectorized im2col /
-#: col2im constructions beat the reference double loop. Below them the
-#: strided-view machinery costs more than it saves; both routes move
-#: exactly the same values, so the dispatch is invisible to callers.
-#: col2im crosses over earlier because its reference implementation
-#: re-gathers the whole column matrix once per kernel offset.
+#: Patch-row width (C * kh * kw) above which the vectorized im2col
+#: construction beats the kernel-offset loop. Below it the strided-view
+#: machinery costs more than it saves; both routes move exactly the same
+#: values, so the dispatch is invisible to callers.
 _VECTORIZED_MIN_K_IM2COL = 512
-_VECTORIZED_MIN_K_COL2IM = 256
 
 
 def _pad_input(x: np.ndarray, pad: int) -> np.ndarray:
@@ -182,19 +178,23 @@ def col2im(
         img = np.zeros((n, c, h, w), dtype=col.dtype)
         img[:, :, ::stride, ::stride] = folded
         return img
-    if c * kernel_h * kernel_w < _VECTORIZED_MIN_K_COL2IM:
-        return col2im_reference(
-            col, input_shape, kernel_h, kernel_w, stride, pad
-        )
-    # One contiguous copy into kernel-major layout so every accumulation
-    # slice reads a contiguous (N, C, out_h, out_w) block instead of a
-    # doubly-strided gather.
-    col = np.ascontiguousarray(
-        col.reshape(n, out_h, out_w, c, kernel_h, kernel_w).transpose(
-            0, 3, 4, 5, 1, 2
-        )
+    # Accumulate channels-last: each kernel offset adds an
+    # (N, out_h, out_w, C) view of ``col`` into a strided slice of the
+    # padded image, in the reference's (i, j) order, so no pass has to
+    # relayout ``col`` first.
+    col = col.reshape(n, out_h, out_w, c, kernel_h, kernel_w)
+    img = np.zeros(
+        (n, h + 2 * pad + stride - 1, w + 2 * pad + stride - 1, c),
+        dtype=col.dtype,
     )
-    return _col2im_loop(col, input_shape, kernel_h, kernel_w, stride, pad)
+    for i in range(kernel_h):
+        i_max = i + stride * out_h
+        for j in range(kernel_w):
+            j_max = j + stride * out_w
+            img[:, i:i_max:stride, j:j_max:stride] += col[..., i, j]
+    return np.ascontiguousarray(
+        img[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2)
+    )
 
 
 def im2col_kernel_major(

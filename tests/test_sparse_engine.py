@@ -48,6 +48,10 @@ LOWERING_CASES = [
     (2, 8, 8, 8, 1, 2, 0),
     (1, 64, 10, 10, 3, 1, 1),
     (1, 64, 11, 11, 3, 2, 0),
+    # Bench-scale ResNet-18 geometries (K = 72, 144, 576).
+    (32, 8, 16, 16, 3, 1, 1),
+    (32, 16, 8, 8, 3, 2, 1),
+    (32, 64, 2, 2, 3, 1, 1),
 ]
 
 
@@ -72,6 +76,17 @@ class TestLoweringBitIdentity:
         got = F.col2im(col, (n, c, h, w), k, k, s, p)
         want = F.col2im_reference(col, (n, c, h, w), k, k, s, p)
         assert np.array_equal(got, want)
+
+    def test_col2im_keeps_the_reference_bytes_with_negative_zeros(
+        self, rng
+    ):
+        n, c, h, w, k, s, p = 2, 8, 6, 6, 3, 1, 1
+        col = rng.normal(size=(n * h * w, c * k * k)).astype(np.float32)
+        col[:, : k * k] = -0.0  # channel 0 sums -0.0 only: +0.0 out
+        col[::3] = -0.0
+        got = F.col2im(col, (n, c, h, w), k, k, s, p)
+        want = F.col2im_reference(col, (n, c, h, w), k, k, s, p)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("case", LOWERING_CASES)
     def test_kernel_major_layouts_hold_the_same_patches(self, rng, case):
